@@ -36,11 +36,28 @@ std::span<double> ChunkedDecoder::stage_chunk(std::size_t worker,
                                               std::size_t chunk) {
   S2C2_REQUIRE(worker < generator_.n(), "worker index out of range");
   S2C2_REQUIRE(chunk < num_chunks_, "chunk index out of range");
-  std::uint8_t& flag = staged_[chunk * generator_.n() + worker];
-  if (flag) return {};  // idempotent on duplicates
-  flag = 1;
-  const std::span<double> values = arena_.alloc_span<double>(chunk_values());
-  results_[chunk].emplace_back(worker, values.data());
+  if (staged_[chunk * generator_.n() + worker]) return {};  // idempotent
+  return stage_run(worker, chunk, 1);
+}
+
+std::span<double> ChunkedDecoder::stage_run(std::size_t worker,
+                                            std::size_t first,
+                                            std::size_t count) {
+  S2C2_REQUIRE(worker < generator_.n(), "worker index out of range");
+  S2C2_REQUIRE(count > 0 && first < num_chunks_ &&
+                   count <= num_chunks_ - first,
+               "chunk run out of range");
+  for (std::size_t c = first; c < first + count; ++c) {
+    S2C2_REQUIRE(!staged_[c * generator_.n() + worker],
+                 "chunk run overlaps an already staged slot");
+  }
+  const std::span<double> values =
+      arena_.alloc_span<double>(count * chunk_values());
+  for (std::size_t i = 0; i < count; ++i) {
+    staged_[(first + i) * generator_.n() + worker] = 1;
+    results_[first + i].emplace_back(worker,
+                                     values.data() + i * chunk_values());
+  }
   return values;
 }
 

@@ -71,6 +71,18 @@ class ChunkedDecoder {
   [[nodiscard]] std::span<double> stage_chunk(std::size_t worker,
                                               std::size_t chunk);
 
+  /// Stages worker `worker`'s slots for the `count` consecutive chunks
+  /// [first, first + count) as ONE contiguous (count * rows_per_chunk) x
+  /// width row-major span — rows in partition order, so a single kernel
+  /// call over the run's rows fills every slot. Each chunk is registered
+  /// exactly as stage_chunk(worker, c) for c ascending would register it
+  /// (same arrival order, decode subsets and cache keys). Unlike
+  /// stage_chunk it is not idempotent: every slot of the run must still
+  /// be unstaged. The span lives until the next reset().
+  [[nodiscard]] std::span<double> stage_run(std::size_t worker,
+                                            std::size_t first,
+                                            std::size_t count);
+
   /// Copying registration: rows_per_chunk x width row-major values into a
   /// staged slot (same idempotence as stage_chunk).
   void add_chunk_result(std::size_t worker, std::size_t chunk,

@@ -86,19 +86,29 @@ void CodedMatVecJob::compute_chunk_into(std::size_t worker, std::size_t chunk,
                                         std::span<const double> x_panel,
                                         std::size_t width,
                                         std::span<double> out) const {
+  compute_run_into(worker, chunk, 1, x_panel, width, out);
+}
+
+void CodedMatVecJob::compute_run_into(std::size_t worker, std::size_t first,
+                                      std::size_t count,
+                                      std::span<const double> x_panel,
+                                      std::size_t width,
+                                      std::span<double> out) const {
   S2C2_REQUIRE(functional(), "compute_chunk on a cost-only job");
   S2C2_REQUIRE(worker < n(), "worker out of range");
-  S2C2_REQUIRE(chunk < chunks_, "chunk out of range");
+  S2C2_REQUIRE(count >= 1 && first < chunks_ && count <= chunks_ - first,
+               "chunk out of range");
   S2C2_REQUIRE(width >= 1 && x_panel.size() == data_cols_ * width,
                "x panel shape mismatch");
   const std::size_t rpc = rows_per_chunk();
-  S2C2_REQUIRE(out.size() == rpc * width, "chunk output span size mismatch");
+  S2C2_REQUIRE(out.size() == count * rpc * width,
+               "chunk output span size mismatch");
+  const std::size_t r0 = first * rpc;
+  const std::size_t r1 = (first + count) * rpc;
   if (width == 1) {
-    partitions_[worker].matvec_rows(chunk * rpc, (chunk + 1) * rpc, x_panel,
-                                    out);
+    partitions_[worker].matvec_rows(r0, r1, x_panel, out);
   } else {
-    partitions_[worker].matmat_rows(chunk * rpc, (chunk + 1) * rpc, x_panel,
-                                    width, out);
+    partitions_[worker].matmat_rows(r0, r1, x_panel, width, out);
   }
 }
 

@@ -73,6 +73,16 @@ class CodedMatVecJob {
                           std::span<const double> x_panel, std::size_t width,
                           std::span<double> out) const;
 
+  /// Run form of compute_chunk_into: the `count` consecutive chunks
+  /// [first, first + count) of partition `worker` in ONE kernel call over
+  /// rows [first * rows_per_chunk, (first + count) * rows_per_chunk),
+  /// written row-major into `out` (e.g. a decoder's stage_run span). Each
+  /// output element keeps its own accumulation chain, so chunk i of the
+  /// run is bitwise compute_chunk_into(worker, first + i, ...).
+  void compute_run_into(std::size_t worker, std::size_t first,
+                        std::size_t count, std::span<const double> x_panel,
+                        std::size_t width, std::span<double> out) const;
+
   /// Fresh decoder wired to this job's geometry, carrying `width` RHS
   /// values per computed row (width = b of the round's panel). Pass a
   /// DecodeContext built over generator() to reuse cached responder-set

@@ -87,41 +87,52 @@ const linalg::Matrix& CodedComputeEngine::run_verified_decode(
   // recovery extras, Byzantine re-adds appended last — so decode subsets
   // and cache keys are unchanged.
   //
+  // A worker's assigned wrap-around range (paper Alg. 1) is at most two
+  // contiguous row runs of its partition — split at the wrap — so it is
+  // staged as one arena span per run and computed with one kernel call
+  // per run instead of one per chunk. Recovery extras stay per chunk.
+  //
   // Two phases: staging mutates the decoder (and the arrival order it
   // records is fingerprinted behavior), so it runs serially first; the
-  // chunk products themselves are pure writes into the staged spans —
+  // products themselves are pure writes into the staged spans —
   // arena-backed and stable until the next reset() — and fan out over
   // the inner pool. Each task owns its span exclusively, and every
-  // product is computed by the serial kernel, so the decoded bits are
-  // identical at any inner_jobs.
+  // output element keeps its serial accumulation chain, so the decoded
+  // bits are identical at any inner_jobs.
   decoder_.reset(width);
   const std::size_t chunks = ledger.alloc.chunks_per_partition;
   chunk_tasks_.clear();
+  const auto add_run = [&](std::size_t w, std::size_t first,
+                           std::size_t count) {
+    if (count > 0) {
+      chunk_tasks_.push_back(
+          {w, first, count, decoder_.stage_run(w, first, count)});
+    }
+  };
   for (std::size_t w = 0; w < spec_.num_workers(); ++w) {
     if (ledger.used[w]) {
       const sched::ChunkRange& r = ledger.alloc.per_worker[w];
-      for (std::size_t i = 0; i < r.count; ++i) {
-        const std::size_t c = (r.begin + i) % chunks;
-        chunk_tasks_.push_back({w, c, decoder_.stage_chunk(w, c)});
-      }
+      const std::size_t begin = r.begin % chunks;
+      const std::size_t head = std::min(r.count, chunks - begin);
+      add_run(w, begin, head);
+      add_run(w, 0, r.count - head);
       for (std::size_t c : ledger.extra_chunks[w]) {
         const std::span<double> slot = decoder_.stage_chunk(w, c);
         if (!slot.empty()) {  // reassigned work can duplicate the original
-          chunk_tasks_.push_back({w, c, slot});
+          chunk_tasks_.push_back({w, c, 1, slot});
         }
       }
     }
   }
+  const auto compute = [&](const ChunkTask& t) {
+    job_.compute_run_into(t.worker, t.first, t.count, x_panel, width, t.out);
+  };
   util::ThreadPool* const pool = inner_pool();
   if (pool == nullptr || chunk_tasks_.size() < 2) {
-    for (const ChunkTask& t : chunk_tasks_) {
-      job_.compute_chunk_into(t.worker, t.chunk, x_panel, width, t.out);
-    }
+    for (const ChunkTask& t : chunk_tasks_) compute(t);
   } else {
-    pool->parallel_for(chunk_tasks_.size(), [&](std::size_t i) {
-      const ChunkTask& t = chunk_tasks_[i];
-      job_.compute_chunk_into(t.worker, t.chunk, x_panel, width, t.out);
-    });
+    pool->parallel_for(chunk_tasks_.size(),
+                       [&](std::size_t i) { compute(chunk_tasks_[i]); });
   }
   if (spec_.byzantine.active()) {
     // Re-add the corrupted responses the executor stripped, appended

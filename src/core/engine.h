@@ -126,14 +126,16 @@ class CodedComputeEngine : public RoundExecutor {
       const RoundLedger& ledger, std::size_t width,
       std::span<const double> x_panel);
 
-  /// One staged chunk product awaiting compute: the (worker, chunk) pair
-  /// and its arena-backed decoder slot. Staging (which mutates decoder
-  /// state and fixes the fingerprinted arrival order) runs serially;
-  /// the pure compute into these non-overlapping spans then fans out
-  /// over the engine's inner pool.
+  /// One staged product awaiting compute: worker `worker`'s chunks
+  /// [first, first + count) — a run of its assigned range, or a single
+  /// recovery extra — and their arena-backed decoder slots as one span.
+  /// Staging (which mutates decoder state and fixes the fingerprinted
+  /// arrival order) runs serially; the pure compute into these
+  /// non-overlapping spans then fans out over the engine's inner pool.
   struct ChunkTask {
     std::size_t worker;
-    std::size_t chunk;
+    std::size_t first;
+    std::size_t count;
     std::span<double> out;
   };
 

@@ -36,14 +36,16 @@ struct Request {
 };
 
 /// Builds a fresh engine for the config (probe and serve runs must not
-/// share one: engines mutate their clock/caches). `dense` is borrowed and
-/// must outlive the engine; null runs cost-only from rows x cols.
+/// share one: engines mutate their clock/caches). The engine takes `spec`
+/// by value — pass the last user's by move: at n = 1000 it holds a
+/// thousand long speed traces. `dense` is borrowed and must outlive the
+/// engine; null runs cost-only from rows x cols.
 std::unique_ptr<core::StrategyEngine> make_serve_engine(
-    const ServeConfig& config, const core::ClusterSpec& spec,
+    const ServeConfig& config, core::ClusterSpec spec,
     std::uint64_t salt, const linalg::Matrix* dense, std::size_t rows,
     std::size_t cols) {
   core::EngineParams p;
-  p.cluster = spec;
+  p.cluster = std::move(spec);
   p.k = config.effective_k();
   p.chunks_per_partition = config.chunks_per_partition;
   // Serving reads true trace speeds at dispatch (oracle): the layer under
@@ -111,7 +113,7 @@ ServeResult run_serve(const ServeConfig& config) {
   sc.rounds = std::max<std::size_t>(config.requests, 16);  // trace length
   sc.seed = config.seed;
   sc.functional = config.functional;
-  const core::ClusterSpec spec = make_cluster(config.trace, sc, salt);
+  core::ClusterSpec spec = make_cluster(config.trace, sc, salt);
 
   const std::size_t rows =
       config.op_rows != 0
@@ -166,7 +168,7 @@ ServeResult run_serve(const ServeConfig& config) {
   }
 
   const std::unique_ptr<core::StrategyEngine> engine =
-      make_serve_engine(config, spec, salt, op, rows, cols);
+      make_serve_engine(config, std::move(spec), salt, op, rows, cols);
   // Strategies without block rounds (the bilinear polynomial family)
   // degrade to width-1 dispatches instead of failing.
   const std::size_t cap = engine->supports_block_rounds()

@@ -62,16 +62,66 @@ inline void dense_matvec_range(const double* S2C2_RESTRICT a, std::size_t r0,
 }
 
 // One (row pair) x (8 RHS columns) matmat tile: a single ascending-c
-// pass over both rows, 16 accumulators. The column tile is contiguous in
-// the row-major panel, so the inner fixed-length loops vectorize across
-// RHS columns; each accumulator chain is still the naive ascending-c sum
-// for its output element.
-template <std::size_t W>
-inline void matmat_rows2_tile(const double* S2C2_RESTRICT a0,
-                              const double* S2C2_RESTRICT a1,
-                              std::size_t cols, const double* S2C2_RESTRICT x,
-                              std::size_t width, double* S2C2_RESTRICT y0,
-                              double* S2C2_RESTRICT y1) {
+// pass over both rows, 16 accumulator lanes. The column tile is
+// contiguous in the row-major panel; each lane is still the naive
+// ascending-c chain acc = acc + a*x for its output element (multiply and
+// add each rounded — the build pins -ffp-contract=off).
+#if defined(__GNUC__) || defined(__clang__)
+// Explicit two-lane vectors: 8 accumulators that stay in registers, 4
+// panel loads and 2 broadcasts per c. Left to itself, GCC vectorizes the
+// array form below along c with shuffles and spills its 16 accumulators
+// to the stack.
+typedef double Vec2 __attribute__((vector_size(16)));
+
+inline Vec2 load2(const double* p) {
+  Vec2 v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store2(double* p, Vec2 v) { __builtin_memcpy(p, &v, sizeof v); }
+
+inline void matmat_rows2_tile8(const double* S2C2_RESTRICT a0,
+                               const double* S2C2_RESTRICT a1,
+                               std::size_t cols, const double* S2C2_RESTRICT x,
+                               std::size_t width, double* S2C2_RESTRICT y0,
+                               double* S2C2_RESTRICT y1) {
+  static_assert(kMatmatColTile == 8, "the vector tile is 4 lanes x 2");
+  Vec2 p0 = {}, p1 = {}, p2 = {}, p3 = {};  // row a0, columns 0..7
+  Vec2 q0 = {}, q1 = {}, q2 = {}, q3 = {};  // row a1, columns 0..7
+  for (std::size_t c = 0; c < cols; ++c) {
+    const double* S2C2_RESTRICT xc = x + c * width;
+    const Vec2 x0 = load2(xc);
+    const Vec2 x1 = load2(xc + 2);
+    const Vec2 x2 = load2(xc + 4);
+    const Vec2 x3 = load2(xc + 6);
+    const Vec2 b0 = {a0[c], a0[c]};
+    const Vec2 b1 = {a1[c], a1[c]};
+    p0 = p0 + b0 * x0;
+    p1 = p1 + b0 * x1;
+    p2 = p2 + b0 * x2;
+    p3 = p3 + b0 * x3;
+    q0 = q0 + b1 * x0;
+    q1 = q1 + b1 * x1;
+    q2 = q2 + b1 * x2;
+    q3 = q3 + b1 * x3;
+  }
+  store2(y0, p0);
+  store2(y0 + 2, p1);
+  store2(y0 + 4, p2);
+  store2(y0 + 6, p3);
+  store2(y1, q0);
+  store2(y1 + 2, q1);
+  store2(y1 + 4, q2);
+  store2(y1 + 6, q3);
+}
+#else
+inline void matmat_rows2_tile8(const double* S2C2_RESTRICT a0,
+                               const double* S2C2_RESTRICT a1,
+                               std::size_t cols, const double* S2C2_RESTRICT x,
+                               std::size_t width, double* S2C2_RESTRICT y0,
+                               double* S2C2_RESTRICT y1) {
+  constexpr std::size_t W = kMatmatColTile;
   double acc0[W] = {};
   double acc1[W] = {};
   for (std::size_t c = 0; c < cols; ++c) {
@@ -84,6 +134,7 @@ inline void matmat_rows2_tile(const double* S2C2_RESTRICT a0,
   for (std::size_t j = 0; j < W; ++j) y0[j] = acc0[j];
   for (std::size_t j = 0; j < W; ++j) y1[j] = acc1[j];
 }
+#endif
 
 template <std::size_t W>
 inline void matmat_row1_tile(const double* S2C2_RESTRICT a0, std::size_t cols,
@@ -124,8 +175,7 @@ inline void dense_matmat_range(const double* S2C2_RESTRICT a, std::size_t r0,
     double* S2C2_RESTRICT y1 = y0 + width;
     std::size_t j = 0;
     for (; j + kMatmatColTile <= width; j += kMatmatColTile) {
-      matmat_rows2_tile<kMatmatColTile>(a0, a1, cols, x + j, width, y0 + j,
-                                        y1 + j);
+      matmat_rows2_tile8(a0, a1, cols, x + j, width, y0 + j, y1 + j);
     }
     if (j < width) {
       matmat_row1_tail(a0, cols, x + j, width, width - j, y0 + j);

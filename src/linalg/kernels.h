@@ -10,12 +10,16 @@
 // *different* elements' chains — 4 output rows at once for matvec
 // (independent accumulators break the add-latency dependence chain the
 // naive kernel serializes on), 2 rows x 8 RHS columns for matmat (one
-// pass over the row instead of `width`, with the column tile contiguous
-// in the panel so the compiler vectorizes across RHS columns). Since
-// baseline x86-64 codegen has no FMA contraction and gcc does not
-// reassociate FP sums without -ffast-math, the results are bitwise
-// identical to the naive reference — tests/kernel_equivalence_test.cpp
-// holds every kernel to EXPECT_EQ on doubles.
+// pass over the row instead of `width`; the column tile is contiguous in
+// the panel, and under GCC/Clang its 16 chains are 8 explicit two-lane
+// vector accumulators, so they stay in registers). The build pins
+// -ffp-contract=off, so no multiply-add is fused into an FMA on any
+// target ISA, and gcc does not reassociate FP sums without -ffast-math:
+// the results are bitwise identical to the naive reference —
+// tests/kernel_equivalence_test.cpp holds every kernel to EXPECT_EQ on
+// doubles. Because the chains are per element, one call over a run of
+// rows [r0, r1) also equals any split of it into smaller calls (the
+// engine computes a worker's whole chunk range in one call).
 //
 // Optional OpenMP (cmake -DS2C2_OPENMP=ON) parallelizes over *output
 // rows* only, so per-element chains — and therefore results — are

@@ -1,6 +1,9 @@
 // Tests for the chunk-granular MDS decoder — the numerical heart of S2C2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "src/coding/chunked_decoder.h"
 #include "src/coding/mds_code.h"
 #include "src/util/rng.h"
@@ -146,6 +149,85 @@ TEST(ChunkedDecoder, WrongSizeResultRejected) {
                std::invalid_argument);
   EXPECT_THROW(dec.add_chunk_result(9, 0, std::vector<double>(2, 0.0)),
                std::invalid_argument);
+}
+
+// Wrap-around S2C2 ranges over n = 6, k = 3, C = 6, laid consecutively
+// around the chunk circle (counts 4,3,2,4,3,2 — each chunk covered exactly
+// k times). Workers 1 and 3 wrap, so they stage two runs each.
+struct RangeSpec {
+  std::size_t begin, count;
+};
+const RangeSpec kWrapRanges[] = {{0, 4}, {4, 3}, {1, 2},
+                                 {3, 4}, {1, 3}, {4, 2}};
+
+TEST(ChunkedDecoder, StageRunRegistersExactlyLikePerChunkStaging) {
+  constexpr std::size_t n = 6, k = 3, chunks = 6, rpc = 2, cols = 5;
+  Fixture f(n, k, k * chunks * rpc, cols, ParityKind::kGaussian, 11);
+  for (const std::size_t b : {1, 3}) {
+    linalg::Matrix xb(cols, b);
+    for (std::size_t r = 0; r < cols; ++r) {
+      for (std::size_t j = 0; j < b; ++j) xb(r, j) = f.rng.normal();
+    }
+    // rows [r0, r1) of partition w times the panel, into `out`.
+    const auto fill = [&](std::size_t w, std::size_t r0, std::size_t r1,
+                          std::span<double> out) {
+      f.parts[w].matmat_rows(r0, r1, xb.data(), b, out);
+    };
+    ChunkedDecoder per_chunk(f.code.generator(), chunks * rpc, chunks, b);
+    ChunkedDecoder per_run(f.code.generator(), chunks * rpc, chunks, b);
+    for (std::size_t w = 0; w < n; ++w) {
+      const RangeSpec r = kWrapRanges[w];
+      for (std::size_t i = 0; i < r.count; ++i) {
+        const std::size_t c = (r.begin + i) % chunks;
+        fill(w, c * rpc, (c + 1) * rpc, per_chunk.stage_chunk(w, c));
+      }
+      const std::size_t head = std::min(r.count, chunks - r.begin);
+      fill(w, r.begin * rpc, (r.begin + head) * rpc,
+           per_run.stage_run(w, r.begin, head));
+      if (r.count > head) {
+        fill(w, 0, (r.count - head) * rpc,
+             per_run.stage_run(w, 0, r.count - head));
+      }
+    }
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(per_run.responders(c), per_chunk.responders(c)) << c;
+    }
+    ASSERT_TRUE(per_run.decodable());
+    linalg::Matrix want, got;
+    per_chunk.decode_into(want);
+    per_run.decode_into(got);
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), b);
+    for (std::size_t r = 0; r < got.rows(); ++r) {
+      for (std::size_t j = 0; j < b; ++j) {
+        EXPECT_EQ(got(r, j), want(r, j)) << "b=" << b << " row " << r;
+      }
+    }
+    const linalg::Matrix truth = f.a.matmat(xb);
+    for (std::size_t r = 0; r < truth.rows(); ++r) {
+      for (std::size_t j = 0; j < b; ++j) {
+        EXPECT_NEAR(got(r, j), truth(r, j), 1e-9);
+      }
+    }
+  }
+}
+
+TEST(ChunkedDecoder, StageRunRejectsStagedSlotsAndBadRanges) {
+  const GeneratorMatrix g(4, 2);
+  ChunkedDecoder dec(g, 12, 6, 1);  // 2 rows per chunk
+  (void)dec.stage_chunk(1, 2);
+  EXPECT_THROW((void)dec.stage_run(1, 1, 3), std::invalid_argument);
+  // The rejected run registered nothing.
+  EXPECT_TRUE(dec.responders(1).empty());
+  EXPECT_TRUE(dec.responders(3).empty());
+  EXPECT_EQ(dec.stage_run(1, 3, 2).size(), 4u);
+  EXPECT_THROW((void)dec.stage_run(1, 4, 1), std::invalid_argument);
+  EXPECT_EQ(dec.stage_run(2, 1, 3).size(), 6u);  // other workers unaffected
+  EXPECT_THROW((void)dec.stage_run(0, 5, 2), std::invalid_argument);
+  EXPECT_THROW((void)dec.stage_run(0, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)dec.stage_run(4, 0, 1), std::invalid_argument);
+  // stage_chunk stays idempotent over a run's slots.
+  EXPECT_TRUE(dec.stage_chunk(1, 4).empty());
 }
 
 struct DecodeParam {

@@ -3,9 +3,11 @@
 // orderings the paper's figures rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/core/engine.h"
+#include "src/sched/allocation.h"
 #include "src/util/rng.h"
 #include "src/workload/trace_gen.h"
 #include "tests/test_util.h"
@@ -367,6 +369,51 @@ TEST(Engine, SparseOperatorFunctionalDecode) {
   const RoundResult r = engine.run_round(x);
   ASSERT_TRUE(r.y.has_value());
   expect_close(*r.y, truth);
+}
+
+TEST(Engine, WrappedAssignedRangesDecodeToTheDirectProduct) {
+  // n = 5, k = 3, C = 4 at equal speeds: 12 chunk slots over 5 workers
+  // means counts of 2 and 3, and no such split lands every range boundary
+  // on a multiple of C — so some worker's wrap-around range is computed
+  // as two runs of its partition. Serial and inner-pool rounds must agree
+  // bit for bit, and both must decode the operator's product.
+  constexpr std::size_t n = 5, k = 3, chunks = 4;
+  const sched::Allocation alloc = sched::proportional_allocation(
+      std::vector<double>(n, 1.0), k, chunks);
+  ASSERT_TRUE(std::any_of(
+      alloc.per_worker.begin(), alloc.per_worker.end(),
+      [](const sched::ChunkRange& r) { return r.begin + r.count > chunks; }));
+
+  FunctionalSetup f(n, k, 7, chunks);
+  linalg::Matrix xb(30, 3);
+  for (std::size_t r = 0; r < 30; ++r) {
+    for (std::size_t j = 0; j < 3; ++j) xb(r, j) = f.rng.normal();
+  }
+  const linalg::Matrix truth_b = f.a.matmat(xb);
+  EngineConfig cfg;
+  cfg.strategy = StrategyKind::kS2C2;
+  cfg.chunks_per_partition = chunks;
+  cfg.oracle_speeds = true;
+  CodedComputeEngine serial(f.job, make_spec(test::uniform_traces(n)), cfg);
+  CodedComputeEngine pooled(f.job, make_spec(test::uniform_traces(n)), cfg);
+  pooled.set_inner_jobs(2);
+  for (int round = 0; round < 2; ++round) {
+    const RoundResult a = serial.run_round(f.x);
+    const RoundResult b = pooled.run_round(f.x);
+    ASSERT_TRUE(a.y.has_value() && b.y.has_value());
+    expect_close(*a.y, f.truth, 1e-9);
+    EXPECT_EQ(*a.y, *b.y);
+    const RoundResult ab = serial.run_round_block(xb, 3);
+    const RoundResult bb = pooled.run_round_block(xb, 3);
+    ASSERT_TRUE(ab.y_block.has_value() && bb.y_block.has_value());
+    ASSERT_EQ(ab.y_block->rows(), truth_b.rows());
+    for (std::size_t r = 0; r < truth_b.rows(); ++r) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        EXPECT_NEAR((*ab.y_block)(r, j), truth_b(r, j), 1e-9);
+        EXPECT_EQ((*ab.y_block)(r, j), (*bb.y_block)(r, j));
+      }
+    }
+  }
 }
 
 TEST(Engine, ClockAdvancesAcrossRounds) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "src/harness/job_driver.h"
 
@@ -86,6 +88,31 @@ TEST(JobDriver, CodedTrajectoryMatchesUncodedReference) {
     ASSERT_FALSE(job.failed) << job_app_name(app);
     EXPECT_GT(job.iterations, 0u) << job_app_name(app);
     EXPECT_LT(job.solution_error, 1e-8) << job_app_name(app);
+  }
+  // The same bound, seed by seed, at n = 100 with the LSTM predictor:
+  // volatile speeds give 1-chunk runs and responder sets that change
+  // between rounds, failure injection adds §4.3 recovery extras, and s2c2
+  // and mds decode from different responder sets — every one must still
+  // track the reference.
+  for (const JobApp app : {JobApp::kLogReg, JobApp::kPageRank}) {
+    for (const StrategyKind s : {StrategyKind::kS2C2, StrategyKind::kMds}) {
+      for (const TraceProfile t :
+           {TraceProfile::kVolatileCloud, TraceProfile::kFailureInjection}) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+          JobConfig cfg = job_at(app, s, t, 200);
+          cfg.workers = 100;
+          cfg.predictor = PredictorKind::kLstm;
+          cfg.seed = seed;
+          const JobResult job = run_job(cfg);
+          const std::string what = std::string(job_app_name(app)) + " " +
+                                   core::strategy_name(s) + " " +
+                                   trace_profile_name(t) + " seed " +
+                                   std::to_string(seed);
+          ASSERT_FALSE(job.failed) << what;
+          EXPECT_LT(job.solution_error, 1e-8) << what;
+        }
+      }
+    }
   }
 }
 

@@ -220,6 +220,65 @@ TEST(KernelEquivalence, CsrMatmatBitwiseMatchesNaive) {
   }
 }
 
+// One kernel call over a run of consecutive chunks' rows [a*rpc, b*rpc)
+// — how an S2C2 worker's assigned range is computed — must emit exactly
+// the bits of one call per chunk: the run only shifts which rows share a
+// tile, never an element's own chain. Width 1 goes through the matvec
+// kernels, wider panels through matmat, as EncodedPartition dispatches.
+TEST(KernelEquivalence, RunShapedCallsMatchPerChunkCalls) {
+  util::Rng rng(0x5EED);
+  constexpr std::size_t kChunks = 5;
+  const std::size_t cols = 13;
+  for (const std::size_t rpc : {1, 2, 3}) {
+    const std::size_t rows = kChunks * rpc;
+    const std::vector<double> a = random_values(rows * cols, rng);
+    const CsrMatrix m = random_csr(rows, cols, 0.4, rng);
+    for (const std::size_t w : {1, 7, 8, 9, 16}) {
+      const std::vector<double> x = random_values(cols * w, rng);
+      // rows [r0, r0 + n) of the dense and the CSR operator, one call each.
+      const auto dense = [&](std::size_t r0, std::size_t n, double* y) {
+        if (w == 1) {
+          kernels::dense_matvec(a.data() + r0 * cols, n, cols, x.data(), y);
+        } else {
+          kernels::dense_matmat(a.data() + r0 * cols, n, cols, x.data(), w,
+                                y);
+        }
+      };
+      const auto csr = [&](std::size_t r0, std::size_t n, double* y) {
+        if (w == 1) {
+          kernels::csr_matvec(m.row_ptr().data() + r0, n, m.col_idx().data(),
+                              m.values().data(), x.data(), y);
+        } else {
+          kernels::csr_matmat(m.row_ptr().data() + r0, n, m.col_idx().data(),
+                              m.values().data(), x.data(), w, y);
+        }
+      };
+      for (std::size_t first = 0; first < kChunks; ++first) {
+        for (std::size_t end = first + 1; end <= kChunks; ++end) {
+          const std::size_t n = (end - first) * rpc;
+          std::vector<double> run_d(n * w, -1.0), per_d(n * w, -2.0);
+          std::vector<double> run_s(n * w, -1.0), per_s(n * w, -2.0);
+          dense(first * rpc, n, run_d.data());
+          csr(first * rpc, n, run_s.data());
+          for (std::size_t c = first; c < end; ++c) {
+            const std::size_t off = (c - first) * rpc * w;
+            dense(c * rpc, rpc, per_d.data() + off);
+            csr(c * rpc, rpc, per_s.data() + off);
+          }
+          for (std::size_t i = 0; i < n * w; ++i) {
+            EXPECT_EQ(run_d[i], per_d[i]) << "dense rpc=" << rpc << " b=" << w
+                                          << " run [" << first << "," << end
+                                          << ") i=" << i;
+            EXPECT_EQ(run_s[i], per_s[i]) << "csr rpc=" << rpc << " b=" << w
+                                          << " run [" << first << "," << end
+                                          << ") i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelEquivalence, MatrixWrappersUseTheSameChains) {
   // Matrix::matvec/matmat and the _into forms must all emit the kernel
   // results — no wrapper may introduce its own arithmetic.
